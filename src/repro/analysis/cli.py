@@ -24,7 +24,11 @@ Exit codes:
 * ``3`` — verified, but the audit found soundness caveats (``eval``,
   unresolved dynamic includes, unmodeled builtins, …): "no report" is
   conditional on those constructs being benign.  Only ``--audit`` /
-  ``--json`` runs can exit 3.
+  ``--json`` runs can exit 3;
+* ``4`` — internal failure: the analysis (or ``sqlciv fix``) raised an
+  unexpected exception, e.g. a page that exhausts the parser's
+  recursion limit or an aborted farm batch.  The traceback goes to
+  stderr and no verdict is claimed either way.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import argparse
 import json
 import logging
 import sys
+import traceback
 from pathlib import Path
 
 from repro.obs import trace
@@ -58,6 +63,15 @@ EXIT_VERIFIED = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2          # argparse's own convention
 EXIT_CAVEATS = 3
+EXIT_INTERNAL = 4
+
+
+def _internal_failure() -> int:
+    """Report an unexpected exception: it is neither a finding nor a
+    verification, so it must not surface as exit 1 or 0."""
+    print("sqlciv: internal error", file=sys.stderr)
+    traceback.print_exc(file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -80,7 +94,10 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "fix":
         from repro.remediate.engine import fix_main
 
-        return fix_main(argv[1:])
+        try:
+            return fix_main(argv[1:])
+        except Exception:
+            return _internal_failure()
     if argv and argv[0] == "stats":
         from repro.obs.stats import stats_main
 
@@ -233,6 +250,14 @@ def main(argv: list[str] | None = None) -> int:
         except PolicyConfigError as exc:
             parser.error(f"--policy-config: {exc}")
 
+    try:
+        return _analyze(args, root, policies)
+    except Exception:
+        return _internal_failure()
+
+
+def _analyze(args: argparse.Namespace, root: Path, policies) -> int:
+    """Analyze, render, and pick the exit code for one batch run."""
     PERF.reset()
     TRACE.configure(bool(args.trace))
     TIMELINE.configure(args.profile == "timeline")
@@ -324,7 +349,6 @@ def main(argv: list[str] | None = None) -> int:
             [r.timeline for r in results],
             TIMELINE.drain_driver_spans(),
             attrs={"root": str(root), "jobs": args.jobs},
-            aux_payloads=TIMELINE.drain_adopted(),
         )
         obs_timeline.write_timeline(args.timeline_out, timeline)
         log.info(

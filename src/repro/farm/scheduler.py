@@ -29,12 +29,12 @@ class FarmTask:
     """One schedulable unit of work.
 
     ``seq`` is the submission ordinal (the determinism tie-break),
-    ``cost`` the driver's runtime estimate (seconds — entry-file bytes
-    scaled, for pages), ``payload`` whatever the executor needs.
+    ``cost`` the driver's relative runtime estimate (entry-file bytes,
+    for pages), ``payload`` whatever the executor needs.
     """
 
     seq: int
-    kind: str  # "parse" | "page" | "cascade"
+    kind: str  # the farm submits "page" tasks
     cost: float
     payload: object = None
 

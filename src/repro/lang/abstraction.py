@@ -35,7 +35,6 @@ report) are identical with the filter on or off.
 
 from __future__ import annotations
 
-import os
 import sys
 from collections import deque
 
@@ -45,10 +44,6 @@ from repro.obs.metrics import PERF
 from .charset import CharSet
 from .fsa import DFA
 from .grammar import Grammar, Lit, Nonterminal
-
-#: Kill switch (for measurement and for the cross-check tests): set the
-#: environment variable ``REPRO_PREFILTER=0`` or toggle at runtime.
-ENABLED = os.environ.get("REPRO_PREFILTER", "1") != "0"
 
 #: Lengths above this are treated as unbounded — the finite bound buys
 #: nothing once it exceeds any plausible automaton diameter.
@@ -279,8 +274,6 @@ def prefilter_decides_empty(
     closure and length bounds, so a ``True`` here is always confirmed
     by the exact check (the cross-check property test enforces this).
     """
-    if not ENABLED:
-        return False
     with PERF.timer("prefilter"), TIMELINE.phase("prefilter"):
         abstraction = abstraction_of(grammar, root)
         min_dist, max_dist, _ = _pruned_profile(dfa, abstraction.closure)

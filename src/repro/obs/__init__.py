@@ -8,8 +8,8 @@ adds the instruments the ROADMAP's scalability work needs:
   process-wide :data:`~repro.obs.metrics.PERF` singleton: counters,
   timers, gauges, and **fixed-bucket histograms** (phase durations,
   grammar sizes, memo lookup latencies).  Snapshots are plain dicts, so
-  they pickle across the ``ProcessPoolExecutor`` boundary and merge
-  deterministically in page order.
+  a farm worker's per-task delta pickles home inside its result
+  envelope and the driver merges the deltas deterministically.
 * :mod:`repro.obs.trace` — deterministic span trees (``--trace``).
 * :mod:`repro.obs.timeline` — the per-worker timeline profiler
   (``--profile=timeline``): phase-tagged spans with worker-lane

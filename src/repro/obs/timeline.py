@@ -92,13 +92,11 @@ class TimelineRecorder:
         self.enabled = False
         self._spans: list[dict] = []
         self._stack: list[int] = []
-        self._adopted: list[dict] = []
 
     def configure(self, enabled: bool) -> None:
         self.enabled = enabled
         self._spans = []
         self._stack = []
-        self._adopted = []
 
     @contextmanager
     def phase(self, name: str, **meta):
@@ -152,21 +150,9 @@ class TimelineRecorder:
         self._stack = []
         return spans
 
-    def adopt_capture(self, payload: dict | None) -> None:
-        """Register a worker-recorded capture that is not a page (the
-        farm's include/parse pre-pass chunks).  Adopted captures render
-        in the timeline's ``aux`` section, keeping ``pages`` exactly one
-        entry per analyzed page."""
-        if self.enabled and payload:
-            self._adopted.append(payload)
 
-    def drain_adopted(self) -> list[dict]:
-        adopted, self._adopted = self._adopted, []
-        return adopted
-
-
-#: The process-wide recorder; workers enable their own copy in the pool
-#: initializer and ship finished page captures home inside PageResult.
+#: The process-wide recorder; farm workers follow the driver's setting
+#: per task and ship finished page captures home inside PageResult.
 TIMELINE = TimelineRecorder()
 
 
@@ -195,7 +181,6 @@ def assemble(
     page_payloads: list[dict | None],
     driver_spans: list[dict] | None = None,
     attrs: dict | None = None,
-    aux_payloads: list[dict] | None = None,
 ) -> dict:
     """The ``timeline.json`` document for one run.
 
@@ -204,26 +189,18 @@ def assemble(
     skipped).  Lane 0 is the driver process; worker lanes are numbered
     by first appearance in page order, so the lane layout is a pure
     function of the page→worker assignment.
-
-    ``aux_payloads`` are non-page worker captures (the farm's pre-pass
-    chunks, see :meth:`TimelineRecorder.adopt_capture`); they render
-    under an ``aux`` key so ``pages`` stays one entry per analyzed page.
     """
     driver_spans = driver_spans or []
     pages = [p for p in page_payloads if p]
-    aux = [p for p in (aux_payloads or []) if p]
-    starts = (
-        [p["t_start"] for p in pages + aux]
-        + [s["start"] for s in driver_spans]
-    )
-    ends = [p["t_end"] for p in pages + aux] + [s["end"] for s in driver_spans]
+    starts = [p["t_start"] for p in pages] + [s["start"] for s in driver_spans]
+    ends = [p["t_end"] for p in pages] + [s["end"] for s in driver_spans]
     t0 = min(starts) if starts else 0.0
     wall = (max(ends) - t0) if ends else 0.0
 
     driver_pid = os.getpid()
     lane_of: dict[int, int] = {driver_pid: 0}
     lanes = [{"lane": 0, "pid": driver_pid, "role": "driver"}]
-    for payload in pages + aux:
+    for payload in pages:
         pid = payload["pid"]
         if pid not in lane_of:
             lane_of[pid] = len(lanes)
@@ -255,7 +232,6 @@ def assemble(
         }
 
     out_pages = [render_capture(payload) for payload in pages]
-    out_aux = [render_capture(payload) for payload in aux]
 
     driver_counts: dict[str, int] = {}
     out_driver = []
@@ -274,7 +250,7 @@ def assemble(
             record["meta"] = span["meta"]
         out_driver.append(record)
 
-    document = {
+    return {
         "format": TIMELINE_FORMAT,
         "attrs": attrs or {},
         "wall_seconds": round(wall, 6),
@@ -282,9 +258,6 @@ def assemble(
         "driver_spans": out_driver,
         "pages": out_pages,
     }
-    if out_aux:
-        document["aux"] = out_aux
-    return document
 
 
 def write_timeline(path: str | Path, timeline: dict) -> None:

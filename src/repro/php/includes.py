@@ -21,10 +21,6 @@ from repro.lang.grammar import Grammar, Nonterminal
 from repro.obs.metrics import PERF
 
 
-def _prefilter_enabled() -> bool:
-    return os.environ.get("REPRO_INCLUDE_PREFILTER", "1") != "0"
-
-
 class IncludeResolver:
     def __init__(self, project_root: str | Path) -> None:
         self.root = Path(project_root)
@@ -93,27 +89,23 @@ class IncludeResolver:
             resolved = sorted(set(exact))
         else:
             scope = grammar.subgrammar(path_nt)
-            candidates = names.items()
-            if _prefilter_enabled():
-                # Sound pruning: every string of the argument language
-                # carries the forced affixes, so a candidate without them
-                # cannot be generated and the exact test can be skipped.
-                summary = scope.affix_summary(path_nt)
-                if summary is None:
-                    candidates = []
-                else:
-                    prefix, suffix, min_len = summary
-                    candidates = [
-                        (text, file)
-                        for text, file in candidates
-                        if len(text) >= min_len
-                        and text.startswith(prefix)
-                        and text.endswith(suffix)
-                    ]
-                PERF.incr(
-                    "include.prefilter.pruned", len(names) - len(candidates)
-                )
-                PERF.incr("include.prefilter.kept", len(candidates))
+            # Sound pruning: every string of the argument language
+            # carries the forced affixes, so a candidate without them
+            # cannot be generated and the exact test can be skipped.
+            summary = scope.affix_summary(path_nt)
+            if summary is None:
+                candidates = []
+            else:
+                prefix, suffix, min_len = summary
+                candidates = [
+                    (text, file)
+                    for text, file in names.items()
+                    if len(text) >= min_len
+                    and text.startswith(prefix)
+                    and text.endswith(suffix)
+                ]
+            PERF.incr("include.prefilter.pruned", len(names) - len(candidates))
+            PERF.incr("include.prefilter.kept", len(candidates))
             matches = {
                 file
                 for text, file in candidates

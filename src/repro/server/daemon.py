@@ -26,9 +26,9 @@ the command line is the *default* project; ``load_project`` adds more,
 its memo, parse cache, dependency graph, and invalidation **epoch** in
 a :class:`ProjectState` behind its own lock, so an edit to one project
 can never invalidate (or leak into) another; process-global shared
-state — the verdict memo, the FST-image memo, and the analysis farm's
-shared memo service — is content-addressed, so cross-project sharing
-is sound by construction (see DESIGN "Soundness of shared memos").
+state — the verdict memo and the FST-image memo, in the daemon and in
+each farm worker — is content-addressed, so cross-project sharing is
+sound by construction (see DESIGN "Soundness of shared memos").
 
 Concurrency: connections are handled in threads.  Requests against
 different projects interleave freely (per-project locks); the actual

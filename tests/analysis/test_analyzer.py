@@ -1,6 +1,10 @@
 """Tests for the top-level driver and the CLI."""
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +14,10 @@ from repro.analysis.analyzer import (
     entry_pages,
     has_include_guard,
 )
-from repro.analysis.cli import main
+from repro.analysis import cli
+from repro.analysis.cli import EXIT_INTERNAL, main
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -132,3 +139,37 @@ class TestCli:
     def test_bad_root(self, tmp_path):
         with pytest.raises(SystemExit):
             main([str(tmp_path / "nope")])
+
+
+class TestInternalFailure:
+    """Exit 4: an unexpected exception is neither a finding (1) nor a
+    verification (0), and claims nothing on stdout."""
+
+    def test_run_pages_exception_exits_4(self, project, monkeypatch, capsys):
+        def broken_run_pages(*args, **kwargs):
+            raise RuntimeError("synthetic analysis failure")
+
+        monkeypatch.setattr(cli, "run_pages", broken_run_pages)
+        code = main([str(project), "--json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL == 4
+        assert captured.out == ""
+        assert "synthetic analysis failure" in captured.err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_recursion_limit_page_exits_4(self, tmp_path, jobs):
+        # 3000 nested parentheses exhaust the parser's recursion limit;
+        # a second page gives --jobs 2 a reason to start the farm
+        nested = "(" * 3000 + "1" + ")" * 3000
+        (tmp_path / "deep.php").write_text(f"<?php\n$x = {nested};\n")
+        (tmp_path / "ok.php").write_text("<?php mysql_query('SELECT 1');")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.analysis.cli", str(tmp_path),
+             "--jobs", str(jobs)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 4, proc.stderr[-2000:]
+        assert proc.stdout == ""
+        assert "RecursionError" in proc.stderr

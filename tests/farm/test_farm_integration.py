@@ -1,10 +1,10 @@
-"""Farm integration tests: byte-identity under every farm configuration.
+"""Farm integration tests: ``--jobs 2`` against ``--jobs 1``.
 
-Each test runs the real CLI in fresh subprocesses (env kill switches
-only matter at process start) over a small synthetic app and asserts
-the ``--json`` document — minus the perf block — is identical to the
-serial run.  Covers cascade-level task splitting (forced via
-``REPRO_FARM_SPLIT=1``) and the memo/pre-pass kill switches.
+Runs the real CLI in fresh subprocesses over a small synthetic app with
+several hotspots per page and asserts the ``--json`` document — minus
+the perf block — is identical to the serial run, and that the
+scheduling-invariant counters agree.  Both runs are made once per
+module and shared by the tests.
 """
 
 import json
@@ -31,18 +31,18 @@ LIB_INC = (
 OTHER_PHP = "<?php include 'lib.inc'; mysql_query($q1 . \"z'\"); ?>"
 
 
-@pytest.fixture
-def app(tmp_path):
-    (tmp_path / "index.php").write_text(INDEX_PHP)
-    (tmp_path / "other.php").write_text(OTHER_PHP)
-    (tmp_path / "lib.inc").write_text(LIB_INC)
-    return tmp_path
+@pytest.fixture(scope="module")
+def app(tmp_path_factory):
+    root = tmp_path_factory.mktemp("farm_app")
+    (root / "index.php").write_text(INDEX_PHP)
+    (root / "other.php").write_text(OTHER_PHP)
+    (root / "lib.inc").write_text(LIB_INC)
+    return root
 
 
-def run_cli(app_root, jobs, extra_env=None):
+def run_cli(app_root, jobs):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    env.update(extra_env or {})
     proc = subprocess.run(
         [sys.executable, "-m", "repro.analysis.cli", str(app_root),
          "--json", "--profile", "--jobs", str(jobs)],
@@ -53,50 +53,38 @@ def run_cli(app_root, jobs, extra_env=None):
 
 
 def verdicts(document):
-    return {k: v for k, v in document.items() if k != "perf"}
+    """The document minus its perf block, serialized in document order."""
+    return json.dumps(
+        {k: v for k, v in document.items() if k != "perf"}, indent=2
+    )
+
+
+def lookups(counters):
+    return (
+        counters.get("policy.verdict_cache.hits", 0)
+        + counters.get("policy.verdict_cache.misses", 0)
+    )
+
+
+@pytest.fixture(scope="module")
+def runs(app):
+    """The ``--json`` documents of one serial and one farmed run."""
+    return run_cli(app, jobs=1), run_cli(app, jobs=2)
 
 
 class TestFarmConfigurations:
-    def test_forced_cascade_splitting_is_byte_identical(self, app):
-        serial = run_cli(app, jobs=1)
-        split = run_cli(app, jobs=2, extra_env={"REPRO_FARM_SPLIT": "1"})
-        assert verdicts(split) == verdicts(serial)
-        # the threshold of 1 forces every multi-hotspot page to split
-        counters = split["perf"]["counters"]
-        assert counters.get("farm.pages.split", 0) >= 1
-        assert counters.get("farm.tasks.cascades", 0) >= 4
+    def test_memo_service_disabled_is_byte_identical(self, runs):
+        # the farm has no shared memo service any more: each worker
+        # memoizes in-process, and --jobs 2 must render what --jobs 1 does
+        serial, farmed = runs
+        assert verdicts(farmed) == verdicts(serial)
 
-    def test_memo_service_disabled_is_byte_identical(self, app):
-        serial = run_cli(app, jobs=1)
-        no_memo = run_cli(app, jobs=2, extra_env={"REPRO_FARM_MEMO": "0"})
-        assert verdicts(no_memo) == verdicts(serial)
-        counters = no_memo["perf"]["counters"]
-        # without the service there is nothing to share or split over
-        assert counters.get("farm.verdict.shared_hits", 0) == 0
-        assert counters.get("farm.pages.split", 0) == 0
-
-    def test_prepass_disabled_is_byte_identical(self, app):
-        serial = run_cli(app, jobs=1)
-        no_prepass = run_cli(
-            app, jobs=2, extra_env={"REPRO_FARM_PREPASS": "0"}
-        )
-        assert verdicts(no_prepass) == verdicts(serial)
-        counters = no_prepass["perf"]["counters"]
-        assert counters.get("farm.prepass.files_parsed", 0) == 0
-
-    def test_counter_invariance_across_split_modes(self, app):
+    def test_counter_invariance_across_split_modes(self, runs):
         # pages.analyzed and the verdict-lookup totals must not depend
-        # on how work was carved up (tests/obs contract, farm edition)
-        serial = run_cli(app, jobs=1)["perf"]["counters"]
-        split = run_cli(
-            app, jobs=2, extra_env={"REPRO_FARM_SPLIT": "1"}
-        )["perf"]["counters"]
-
-        def lookups(counters):
-            return (
-                counters.get("policy.verdict_cache.hits", 0)
-                + counters.get("policy.verdict_cache.misses", 0)
-            )
-
-        assert split["pages.analyzed"] == serial["pages.analyzed"]
-        assert lookups(split) == lookups(serial)
+        # on which worker ran which page (tests/obs contract, farm
+        # edition); parse.files may differ — each worker parses its own
+        serial, farmed = runs
+        serial_counters = serial["perf"]["counters"]
+        farmed_counters = farmed["perf"]["counters"]
+        assert farmed_counters["pages.analyzed"] == serial_counters["pages.analyzed"]
+        assert lookups(farmed_counters) == lookups(serial_counters)

@@ -51,11 +51,10 @@ class TestStealing:
     def test_idle_worker_steals_from_backlogged_victim(self):
         scheduler = WorkStealingScheduler(2)
         # LPT: w0 = [5.0], w1 = [1.0, 1.0, 1.0]; then a mid-batch task
-        # lands behind w0's long task (the driver pushes cascade tasks
-        # this way).  w1 drains at t=3 while w0 is still inside the 5.0
+        # lands behind w0's long task.  w1 drains at t=3 while w0 is still inside the 5.0
         # task — w1 must steal w0's backlog instead of idling
         scheduler.plan(make_tasks([5.0] + [1.0] * 3))
-        scheduler.push(FarmTask(4, "cascade", 1.0), worker=0)
+        scheduler.push(FarmTask(4, "page", 1.0), worker=0)
         report = scheduler.simulate()
         assert report.steals == 1
         assert report.makespan == 5.0
