@@ -30,6 +30,12 @@ cache avoids: ``policy.checks_avoided`` counts hotspot cascades served
 from cached page results, and ``policy.check_cascades`` counts cascades
 actually executed.
 
+Finally it measures what the span recorder costs: serial cold runs of
+e107 (the app with the most spans), plain against ``--trace
+--profile=timeline``, in interleaved pairs, taking the minimum wall of
+each side.  The fraction is written under ``recording_overhead`` and
+must stay within :data:`RECORDING_OVERHEAD_MAX`.
+
 Usage::
 
     python benchmarks/perf_harness.py [--jobs N] [--apps eve_activity_tracker ...]
@@ -56,8 +62,19 @@ DEFAULT_APPS = [
 ]
 
 
-def run_cli(app_root: Path, jobs: int, cache_dir: Path | None = None):
-    """One fresh-process CLI run; returns (wall_seconds, json_doc, exit)."""
+#: the most that recording every span (both exports) may add to a
+#: serial cold run's wall, measured on OVERHEAD_APP over OVERHEAD_PAIRS
+#: interleaved plain/recorded pairs
+RECORDING_OVERHEAD_MAX = 0.05
+OVERHEAD_APP = "e107"
+OVERHEAD_PAIRS = 5
+
+
+def run_cli(app_root: Path, jobs: int, cache_dir: Path | None = None,
+            extra: tuple[str, ...] = ()):
+    """One fresh-process CLI run; returns (wall_seconds, json_doc, exit).
+    ``extra`` flags go last, so ``--profile=timeline`` overrides the
+    default ``--profile``."""
     command = [
         sys.executable,
         "-m",
@@ -70,6 +87,7 @@ def run_cli(app_root: Path, jobs: int, cache_dir: Path | None = None):
     ]
     if cache_dir is not None:
         command += ["--cache-dir", str(cache_dir)]
+    command += extra
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     started = time.perf_counter()
@@ -259,6 +277,37 @@ def bench_app(name: str, jobs: int) -> dict:
         }
 
 
+def bench_recording_overhead(name: str, pairs: int) -> dict:
+    """Serial cold walls of ``name`` without and with span recording
+    (``--trace`` plus ``--profile=timeline``), in interleaved pairs so
+    drift hits both sides alike; the overhead compares the two minima."""
+    from repro.corpus import build_app
+
+    with tempfile.TemporaryDirectory(prefix=f"bench-overhead-{name}-") as tmp:
+        build_app(Path(tmp), name)
+        app_root = Path(tmp) / name
+        recording = (
+            "--trace", str(Path(tmp) / "trace.jsonl"), "--profile=timeline",
+            "--timeline-out", str(Path(tmp) / "timeline.json"),
+        )
+        plain, recorded = [], []
+        for _ in range(pairs):
+            wall, plain_doc, _ = run_cli(app_root, jobs=1)
+            plain.append(wall)
+            wall, recorded_doc, _ = run_cli(app_root, jobs=1, extra=recording)
+            recorded.append(wall)
+            if verdicts(recorded_doc) != verdicts(plain_doc):
+                raise AssertionError(f"{name}: recording changed the verdicts")
+    return {
+        "app": name,
+        "pairs": pairs,
+        "plain_min_seconds": round(min(plain), 3),
+        "recorded_min_seconds": round(min(recorded), 3),
+        "overhead_frac": round(min(recorded) / min(plain) - 1.0, 4),
+        "bound": RECORDING_OVERHEAD_MAX,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -310,6 +359,16 @@ def main(argv: list[str] | None = None) -> int:
             flush=True,
         )
 
+    print(f"recording overhead on {OVERHEAD_APP} ...", flush=True)
+    overhead = bench_recording_overhead(OVERHEAD_APP, OVERHEAD_PAIRS)
+    print(
+        f"  plain {overhead['plain_min_seconds']}s"
+        f"  recorded {overhead['recorded_min_seconds']}s"
+        f"  overhead {overhead['overhead_frac']:.1%}"
+        f" (min of {overhead['pairs']} pairs)",
+        flush=True,
+    )
+
     table = {
         "benchmark": (
             "parallel page analysis + content-addressed caching + "
@@ -319,10 +378,16 @@ def main(argv: list[str] | None = None) -> int:
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
         "apps": rows,
+        "recording_overhead": overhead,
     }
     output = Path(args.output)
     output.write_text(json.dumps(table, indent=2) + "\n")
     print(f"wrote {output}")
+    if overhead["overhead_frac"] > RECORDING_OVERHEAD_MAX:
+        raise AssertionError(
+            f"recording overhead {overhead['overhead_frac']:.1%} exceeds "
+            f"{RECORDING_OVERHEAD_MAX:.0%}"
+        )
     return 0
 
 

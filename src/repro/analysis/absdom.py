@@ -22,7 +22,7 @@ from repro.lang.image import fst_image, regular_image
 from repro.lang.intersect import intersect
 from repro.lang.regex import Pattern, search_language
 from repro.obs.metrics import PERF
-from repro.obs.trace import TRACE
+from repro.obs.spans import SPANS
 
 from .values import ArrVal, StrVal, Value
 
@@ -223,7 +223,7 @@ class GrammarBuilder:
         The result grammar is imported into the builder's grammar under a
         fresh nonterminal; labels carry over per Theorem 3.1.
         """
-        with TRACE.span("intersect", op=hint) as span:
+        with SPANS.span("intersect", op=hint) as span:
             scope, value = self._scoped(value, hint)
             span.set("operand_productions", scope.num_productions())
             refined, start = intersect(scope, value.nt, dfa)
@@ -246,7 +246,7 @@ class GrammarBuilder:
 
     def image(self, value: StrVal, fst: FST, hint: str = "fx") -> StrVal:
         """Transducer image; widens the operand first if it would blow up."""
-        with TRACE.span("image", op=hint) as span:
+        with SPANS.span("image", op=hint) as span:
             scope, value = self._scoped(value, hint)
             span.set("operand_productions", scope.num_productions())
             before_sample = self._prov_sample(value.nt)

@@ -28,10 +28,9 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs.timeline import TIMELINE
 from repro.obs.metrics import PERF
+from repro.obs.spans import SPANS
 from repro.php.includes import IncludeResolver
-from repro.obs.trace import TRACE
 
 from .audit import AuditReport, AuditTrail, audit_page
 from .diskcache import DiskCache, project_state_hash
@@ -176,16 +175,11 @@ class PageResult:
     #: worker-side perf delta (parallel runs only; folded into the
     #: driver's recorder and cleared by :func:`run_pages`)
     perf: dict | None = None
-    #: this page's span tree (:meth:`repro.obs.trace.Span.to_dict` form) when
-    #: ``--trace`` is on; recorded wherever the page actually ran and
-    #: reassembled by the driver in page order, so a parallel run's trace
-    #: has the same tree shape as a serial run's
-    trace: dict | None = None
-    #: this page's phase-tagged timeline capture (``--profile=timeline``):
-    #: the :meth:`repro.obs.timeline._PageCapture.payload` dict, tagged
-    #: with the recording process id so the driver can assign worker
-    #: lanes; ``None`` when timeline recording is off
-    timeline: dict | None = None
+    #: this page's span recording (:mod:`repro.obs.spans` payload,
+    #: tagged with the recording process id) when ``--trace`` or
+    #: ``--profile=timeline`` is on; recorded wherever the page actually
+    #: ran and reassembled by the driver in page order
+    spans: dict | None = None
     #: the page's file-dependency closure, as sorted project-relative
     #: POSIX paths: every file whose *content* can influence this page's
     #: grammar (entry page + transitive include closure, parse failures
@@ -237,14 +231,11 @@ def _analyze_one_page(
         disk_cache=disk_cache,
         policies=policies,
     )
-    with TRACE.span("phase1") as phase1_span:
-        with PERF.timer("phase1.string_analysis"), TIMELINE.phase("absdom"):
-            result = analysis.analyze_file(page)
-        phase1_span.set("hotspots", len(result.hotspots))
-        phase1_span.set(
-            "grammar_nonterminals", len(result.grammar.productions)
-        )
-        phase1_span.set("grammar_productions", result.grammar.num_productions())
+    with SPANS.span("phase1", metric="phase1.string_analysis") as phase1_span:
+        result = analysis.analyze_file(page)
+    phase1_span.set("hotspots", len(result.hotspots))
+    phase1_span.set("grammar_nonterminals", len(result.grammar.productions))
+    phase1_span.set("grammar_productions", result.grammar.num_productions())
     PERF.incr("pages.analyzed")
     string_seconds = time.perf_counter() - started
 
@@ -252,20 +243,19 @@ def _analyze_one_page(
     reports: list[HotspotReport] = []
     nonterminals = 0
     productions = 0
-    with TRACE.span("phase2") as phase2_span:
-        with PERF.timer("phase2.checks"), TIMELINE.phase("phase2"):
-            for spot in result.hotspots:
-                scope = result.grammar.subgrammar(spot.query.nt)
-                nonterminals += len(scope.productions)
-                productions += scope.num_productions()
-                PERF.gauge("grammar.hotspot_productions.max", scope.num_productions())
-                reports.append(_check_spot(result.grammar, spot, policies))
-        phase2_span.set("hotspots", len(reports))
+    with SPANS.span("phase2", metric="phase2.checks") as phase2_span:
+        for spot in result.hotspots:
+            scope = result.grammar.subgrammar(spot.query.nt)
+            nonterminals += len(scope.productions)
+            productions += scope.num_productions()
+            PERF.gauge("grammar.hotspot_productions.max", scope.num_productions())
+            reports.append(_check_spot(result.grammar, spot, policies))
+    phase2_span.set("hotspots", len(reports))
     check_seconds = time.perf_counter() - started
 
     page_audit = None
     if audit:
-        with TRACE.span("audit"), TIMELINE.phase("audit"):
+        with SPANS.span("audit"):
             page_audit = audit_page(result)
         # a hotspot's verdict is only as trustworthy as the weakest
         # construct on its page's include closure
@@ -297,18 +287,15 @@ def _page_result(
 ) -> PageResult:
     """One page, consulting the on-disk page cache when available.
 
-    Always the page-span boundary: the span tree for this page is
-    recorded here (a fresh root span whether the result was analyzed or
-    served from disk) and shipped in ``PageResult.trace``; likewise the
-    page's timeline capture (``PageResult.timeline``)."""
-    with TIMELINE.page(str(page)) as timeline_capture:
-        with TRACE.capture("page", page=str(page)) as page_span:
-            result = _page_result_inner(
-                project_root, page, audit, parse_cache, resolver, disk_cache,
-                project_state, page_span, policies,
-            )
-    result.trace = page_span.to_dict() if TRACE.enabled else None
-    result.timeline = timeline_capture.payload()
+    Always the page-span boundary: the spans of this page are recorded
+    here (under a fresh root span whether the result was analyzed or
+    served from disk) and shipped in ``PageResult.spans``."""
+    with SPANS.page(str(page)) as page_span:
+        result = _page_result_inner(
+            project_root, page, audit, parse_cache, resolver, disk_cache,
+            project_state, page_span, policies,
+        )
+    result.spans = page_span.payload
     return result
 
 
@@ -336,7 +323,7 @@ def _page_result_inner(
             audit,
             policy_digest=policies.digest() if policies is not None else "",
         )
-        with TIMELINE.phase("cache.page_load"):
+        with SPANS.span("cache.page_load"):
             cached = disk_cache.load("page", key)
         if isinstance(cached, PageResult):
             # every hotspot whose cascade we skipped is phase-2 work
@@ -433,8 +420,8 @@ def run_pages(
     one config are never replayed under another.
 
     ``profile=True`` turns on the worker-side IPC accounting (pickled
-    page-result bytes and serialization time); timeline recording
-    additionally follows the driver's ``TIMELINE.enabled`` into the
+    page-result bytes and serialization time); span recording
+    additionally follows the driver's ``SPANS.enabled`` into the
     workers.  Neither changes any analysis output (DESIGN 5i).
 
     ``farm`` lets a long-lived caller (the analysis daemon) pass its own
@@ -448,9 +435,7 @@ def run_pages(
     disk_cache = DiskCache(cache_dir, max_mb=cache_max_mb) if cache_dir else None
     project_state = None
     if disk_cache is not None:
-        with PERF.timer("disk.project_state_hash"), TIMELINE.phase(
-            "project-state-hash"
-        ):
+        with SPANS.span("project-state-hash", metric="disk.project_state_hash"):
             project_state = project_state_hash(root)
     jobs = resolve_jobs(jobs, len(pages))
     if jobs <= 1 and farm is None:
@@ -506,7 +491,7 @@ def analyze_project(
     report = ProjectReport(name=name or root.name)
 
     # one directory scan feeds both the file census and the page listing
-    with PERF.timer("scan"):
+    with SPANS.span("scan", metric="scan"):
         php_files = sorted(root.rglob("*.php"))
         report.files = len(php_files)
         report.lines = sum(

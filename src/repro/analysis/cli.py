@@ -40,11 +40,9 @@ import sys
 import traceback
 from pathlib import Path
 
-from repro.obs import trace
-from repro.obs import timeline as obs_timeline
-from repro.obs.timeline import TIMELINE
+from repro.obs import export
 from repro.obs.metrics import PERF, render_table
-from repro.obs.trace import TRACE
+from repro.obs.spans import SPANS
 
 from .analyzer import entry_pages, run_pages
 from .reports import SOUND, UNSOUND_CAVEATS, json_document
@@ -214,8 +212,8 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "record a span tree per page (parse, includes, phase 1, FST "
             "images, intersections, phase 2 checks) and write it as JSON "
-            "lines to FILE; the tree shape is identical for serial, "
-            "parallel, and cache-served runs"
+            "lines to FILE; the tree shape is identical for serial and "
+            "parallel runs"
         ),
     )
     parser.add_argument(
@@ -259,13 +257,12 @@ def main(argv: list[str] | None = None) -> int:
 def _analyze(args: argparse.Namespace, root: Path, policies) -> int:
     """Analyze, render, and pick the exit code for one batch run."""
     PERF.reset()
-    TRACE.configure(bool(args.trace))
-    TIMELINE.configure(args.profile == "timeline")
+    SPANS.configure(bool(args.trace) or args.profile == "timeline")
 
     if args.pages:
         pages = [root / page for page in args.pages]
     else:
-        with TIMELINE.phase("scan"):
+        with SPANS.span("scan", metric="scan"):
             pages = entry_pages(root)
 
     auditing = args.audit or args.json
@@ -336,21 +333,18 @@ def _analyze(args: argparse.Namespace, root: Path, policies) -> int:
     if args.sarif:
         write_sarif(args.sarif, root, results, policies=policies)
         log.info("SARIF log written to %s", args.sarif)
+    payloads = [r.spans for r in results]
+    driver_spans = SPANS.drain_driver_spans()
+    run_attrs = {"root": str(root), "jobs": args.jobs}
     if args.trace:
-        trace.write_run(
-            args.trace,
-            [r.trace for r in results if r.trace is not None],
-            attrs={"root": str(root), "jobs": args.jobs},
-        )
+        export.write_run(args.trace, payloads, driver_spans, run_attrs)
         log.info("trace written to %s", args.trace)
 
     if args.profile == "timeline":
-        timeline = obs_timeline.assemble(
-            [r.timeline for r in results],
-            TIMELINE.drain_driver_spans(),
-            attrs={"root": str(root), "jobs": args.jobs},
+        export.write_timeline(
+            args.timeline_out,
+            export.assemble(payloads, driver_spans, run_attrs),
         )
-        obs_timeline.write_timeline(args.timeline_out, timeline)
         log.info(
             "timeline written to %s (render with `sqlciv stats %s`)",
             args.timeline_out, args.timeline_out,

@@ -36,8 +36,10 @@ log = logging.getLogger(__name__)
 #: Bump when an analysis-semantics change invalidates cached results
 #: (on-disk ASTs / page reports keyed by content hash + this version).
 #: "7": tokens and AST nodes carry byte spans for the remediation
-#: engine — older span-less pickles must not be replayed.
-ANALYZER_CACHE_VERSION = "7"
+#: engine — older span-less pickles must not be replayed.  "8":
+#: ``PageResult`` carries one ``spans`` recording field instead of the
+#: separate ``trace`` and ``timeline`` fields.
+ANALYZER_CACHE_VERSION = "8"
 
 #: extensions the include resolver scans — part of the project state
 RESOLVER_EXTENSIONS = (".php", ".inc", ".html", ".tpl")

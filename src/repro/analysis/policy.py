@@ -37,11 +37,10 @@ from repro.lang.earley import (
 )
 from repro.lang.grammar import Grammar, Lit, Nonterminal
 from repro.lang.intersect import intersect, intersection_is_empty
-from repro.obs.timeline import TIMELINE
 from repro.obs.metrics import PERF
+from repro.obs.spans import SPANS
 from repro.sql.bridge import TokenizationFailure, grammar_to_tokens
 from repro.sql.grammar import sql_grammar
-from repro.obs.trace import TRACE
 
 from . import quotes
 from .provenance import trace_provenance
@@ -124,11 +123,11 @@ def check_hotspot(
         cache = VERDICT_CACHE
     report = HotspotReport(file=hotspot.file, line=hotspot.line, sink=hotspot.sink)
     root = hotspot.query.nt
-    with TRACE.span(
+    with SPANS.span(
         "hotspot", file=hotspot.file, line=hotspot.line, sink=hotspot.sink
     ) as span:
         scope = grammar.subgrammar(root).trim(root)
-        with TIMELINE.phase("verdict-memo") as memo_phase:
+        with SPANS.span("verdict-memo"):
             with PERF.latency("policy.verdict_lookup_seconds"):
                 with PERF.timer("phase2.fingerprint"):
                     order = scope.canonical_order(root)
@@ -142,16 +141,12 @@ def check_hotspot(
         if cached is not None:
             PERF.incr("policy.verdict_cache.hits")
             span.set("verdict_cache", "hit")
-            if memo_phase is not None:
-                memo_phase.setdefault("meta", {})["outcome"] = "hit"
             _report_from_cached(cached, report, order)
         else:
             PERF.incr("policy.verdict_cache.misses")
             span.set("verdict_cache", "miss")
-            if memo_phase is not None:
-                memo_phase.setdefault("meta", {})["outcome"] = "miss"
-            with PERF.timer("phase2.cascade"), TIMELINE.phase(
-                f"cascade:{namespace or 'sql'}"
+            with SPANS.span(
+                f"cascade:{namespace or 'sql'}", metric="phase2.cascade"
             ):
                 (cascade or _run_cascade)(scope, root, hotspot, report)
             cache.put(key, _cached_from_report(report, order))

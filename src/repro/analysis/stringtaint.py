@@ -24,9 +24,8 @@ from repro.lang.fsa import NFA
 from repro.lang.grammar import Grammar, INDIRECT, Nonterminal
 from repro.lang.regex import Pattern
 from repro.obs.metrics import PERF
+from repro.obs.spans import SPANS
 from repro.php import ast, builtins
-from repro.obs.timeline import TIMELINE
-from repro.obs.trace import TRACE
 from repro.php.includes import IncludeResolver
 from repro.php.parser import PhpParseError, parse
 
@@ -222,9 +221,7 @@ class StringTaintAnalysis:
         # every file we so much as try to read is a dependency of this
         # page — parse failures included (the failure is reported)
         self.dep_files.add(str(path))
-        with TRACE.span("parse", file=str(path)) as span, TIMELINE.phase(
-            "parse"
-        ):
+        with SPANS.span("parse", file=str(path)) as span:
             if path in self._parse_cache:
                 PERF.incr("parse.memory_hits")
                 span.set("cache", "memory")
@@ -255,9 +252,9 @@ class StringTaintAnalysis:
         if self.disk_cache is not None:
             entry = self.disk_cache.load("ast", ast_key)
             if entry is not None:
-                TRACE.annotate("cache", "disk")
+                SPANS.annotate("cache", "disk")
                 return entry
-        TRACE.annotate("cache", "miss")
+        SPANS.annotate("cache", "miss")
         try:
             with PERF.timer("parse"):
                 source = data.decode("utf-8")
@@ -513,26 +510,26 @@ class StringTaintAnalysis:
             env.set(name, value)
 
     def _exec_Include(self, stmt: ast.Include, env: Env) -> None:
-        with TRACE.span(
-            "include", file=self.current_file, line=stmt.line
-        ) as span, TIMELINE.phase("include"):
-            path_value = self.builder.to_str(self.eval(stmt.path, env))
-            include_kinds = self._construct_sinks.get("include", ())
-            if include_kinds:
-                sink = ("require" if stmt.required else "include") + (
-                    "_once" if stmt.once else ""
-                )
-                for kind in include_kinds:
-                    self.hotspots.append(
-                        Hotspot(
-                            file=self.current_file,
-                            line=stmt.line,
-                            query=path_value,
-                            sink=sink,
-                            kind=kind,
-                        )
+        path_value = self.builder.to_str(self.eval(stmt.path, env))
+        include_kinds = self._construct_sinks.get("include", ())
+        if include_kinds:
+            sink = ("require" if stmt.required else "include") + (
+                "_once" if stmt.once else ""
+            )
+            for kind in include_kinds:
+                self.hotspots.append(
+                    Hotspot(
+                        file=self.current_file,
+                        line=stmt.line,
+                        query=path_value,
+                        sink=sink,
+                        kind=kind,
                     )
-            current_dir = Path(self.current_file).parent if self.current_file else self.project_root
+                )
+        current_dir = Path(self.current_file).parent if self.current_file else self.project_root
+        with SPANS.span(
+            "include.resolve", file=self.current_file, line=stmt.line
+        ) as span:
             files = self.resolver.resolve(
                 self.builder.grammar,
                 path_value.nt,
@@ -542,16 +539,21 @@ class StringTaintAnalysis:
                 literal=isinstance(stmt.path, ast.Literal),
                 deps=self.dep_files,
             )
-            # a dynamic include's resolution — and a failed one's — is a
-            # function of the project layout itself, not just of the
-            # resolved files' contents: adding/removing files can change it
-            if not isinstance(stmt.path, ast.Literal) or not files:
-                self.layout_sensitive = True
             span.set("resolved", len(files))
-            log.debug(
-                "include at %s:%s resolved to %d file(s)",
-                self.current_file, stmt.line, len(files),
-            )
+        # a dynamic include's resolution — and a failed one's — is a
+        # function of the project layout itself, not just of the
+        # resolved files' contents: adding/removing files can change it
+        if not isinstance(stmt.path, ast.Literal) or not files:
+            self.layout_sensitive = True
+        log.debug(
+            "include at %s:%s resolved to %d file(s)",
+            self.current_file, stmt.line, len(files),
+        )
+        if not files:
+            return
+        with SPANS.span(
+            "include.interpret", file=self.current_file, line=stmt.line
+        ):
             pending = []
             for file in files:
                 if stmt.once and file in self._included_once:

@@ -34,8 +34,7 @@ import threading
 from pathlib import Path
 
 from repro.obs.metrics import PERF
-from repro.obs.timeline import TIMELINE
-from repro.obs.trace import TRACE
+from repro.obs.spans import SPANS
 
 from .scheduler import FarmTask, WorkStealingScheduler
 from .workers import BatchConfig, farm_worker_main
@@ -101,8 +100,7 @@ class AnalysisFarm:
                 project_state=project_state,
                 policies=policies,
                 profile=profile,
-                trace=TRACE.enabled,
-                timeline=TIMELINE.enabled,
+                record=SPANS.enabled,
                 epoch=epoch,
                 batch_id=f"{os.getpid()}:{self._batch_counter}",
             )

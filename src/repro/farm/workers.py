@@ -31,8 +31,7 @@ from repro.analysis.analyzer import (
 )
 from repro.analysis.diskcache import DiskCache
 from repro.obs.metrics import PERF
-from repro.obs.timeline import TIMELINE, append_span
-from repro.obs.trace import TRACE
+from repro.obs.spans import SPANS, add_late_span
 from repro.php.includes import IncludeResolver
 
 
@@ -49,8 +48,8 @@ class BatchConfig:
     project_state: str | None
     policies: object
     profile: bool
-    trace: bool
-    timeline: bool
+    #: span recording (``--trace`` / ``--profile=timeline``) is on
+    record: bool
     epoch: int
     #: unique per (driver pid, batch ordinal): tags every envelope
     batch_id: str
@@ -95,10 +94,8 @@ def _warm_policies(config: BatchConfig) -> None:
 
 
 def _configure_obs(config: BatchConfig) -> None:
-    if TRACE.enabled != config.trace:
-        TRACE.configure(config.trace)
-    if TIMELINE.enabled != config.timeline:
-        TIMELINE.configure(config.timeline)
+    if SPANS.enabled != config.record:
+        SPANS.configure(config.record)
 
 
 def _profile_ipc(config: BatchConfig, result: PageResult) -> None:
@@ -115,8 +112,8 @@ def _profile_ipc(config: BatchConfig, result: PageResult) -> None:
     PERF.gauge("ipc.page_bytes.max", size)
     PERF.observe("ipc.page_bytes", size)
     PERF.add_time("ipc.pickle", finished - started)
-    if result.timeline is not None:
-        append_span(result.timeline, "pickle", started, finished, bytes=size)
+    if result.spans is not None:
+        add_late_span(result.spans, "pickle", started, finished, bytes=size)
 
 
 def _execute(task, stolen: bool):

@@ -38,8 +38,7 @@ from __future__ import annotations
 import sys
 from collections import deque
 
-from repro.obs.timeline import TIMELINE
-from repro.obs.metrics import PERF
+from repro.obs.spans import SPANS
 
 from .charset import CharSet
 from .fsa import DFA
@@ -274,7 +273,7 @@ def prefilter_decides_empty(
     closure and length bounds, so a ``True`` here is always confirmed
     by the exact check (the cross-check property test enforces this).
     """
-    with PERF.timer("prefilter"), TIMELINE.phase("prefilter"):
+    with SPANS.span("prefilter", metric="prefilter"):
         abstraction = abstraction_of(grammar, root)
         min_dist, max_dist, _ = _pruned_profile(dfa, abstraction.closure)
         if min_dist is None:

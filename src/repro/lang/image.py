@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
 
-from repro.obs.timeline import TIMELINE
 from repro.obs.metrics import PERF
-from repro.obs.trace import TRACE
+from repro.obs.spans import SPANS
 
 from .charset import CharSet
 from .fst import FST, FSTExplosion, map_marker_charset, render_output
@@ -168,17 +167,17 @@ def fst_image(
         entry = IMAGE_CACHE.get(fst, fingerprint)
     if entry is not None:
         PERF.incr("image.cache.hits")
-        TRACE.annotate("cache", "hit")
+        SPANS.annotate("cache", "hit")
         cached_grammar, cached_start, recipes = entry
         # a hit replays the memoized construction onto this grammar's
         # names, one recipe per cached nonterminal — the replay count is
         # the volume of construction work the memo turned into rebinds
         PERF.incr("image.cache.replays", len(recipes))
-        with PERF.timer("image.rebind"), TIMELINE.phase("image.rebind"):
+        with SPANS.span("image.rebind", metric="image.rebind"):
             return _rebind_image(cached_grammar, cached_start, recipes, grammar)
     PERF.incr("image.cache.misses")
-    TRACE.annotate("cache", "miss")
-    with PERF.timer("image.construct"), TIMELINE.phase("image.construct"):
+    SPANS.annotate("cache", "miss")
+    with SPANS.span("image.construct", metric="image.construct"):
         result, start, recipes = _fst_image_uncached(grammar, root, fst)
     IMAGE_CACHE.put(fst, fingerprint, result, start, recipes)
     # hand the first caller a copy too: the cached original must never

@@ -1,8 +1,4 @@
-"""Unified observability layer: metrics, traces, timelines, exposition.
-
-This package subsumed the older top-level ``repro.perf`` and
-``repro.trace`` modules (now removed — import from here directly) and
-adds the instruments the ROADMAP's scalability work needs:
+"""Unified observability layer: metrics, spans, exports, exposition.
 
 * :mod:`repro.obs.metrics` — the typed metrics registry behind the
   process-wide :data:`~repro.obs.metrics.PERF` singleton: counters,
@@ -10,10 +6,13 @@ adds the instruments the ROADMAP's scalability work needs:
   grammar sizes, memo lookup latencies).  Snapshots are plain dicts, so
   a farm worker's per-task delta pickles home inside its result
   envelope and the driver merges the deltas deterministically.
-* :mod:`repro.obs.trace` — deterministic span trees (``--trace``).
-* :mod:`repro.obs.timeline` — the per-worker timeline profiler
-  (``--profile=timeline``): phase-tagged spans with worker-lane
-  attribution, written as ``timeline.json``.
+* :mod:`repro.obs.spans` — the one span recorder
+  (:data:`~repro.obs.spans.SPANS`): each instrumented block feeds its
+  ``PERF`` timer and, while recording is on, a flat per-page span
+  record.
+* :mod:`repro.obs.export` — the two renderings of those records: the
+  ``--trace`` span tree (JSON lines) and the ``--profile=timeline``
+  worker-lane ``timeline.json``.
 * :mod:`repro.obs.stats` — ``sqlciv stats timeline.json``: a text gantt
   plus the bottleneck report that names the dominant phase and the
   serial fraction of a parallel run.
@@ -25,14 +24,15 @@ analysis outputs (``--json``, ``--sarif``, exit codes) are byte-for-byte
 identical to an uninstrumented run (DESIGN 5i).
 """
 
-from .metrics import PERF, MetricsRegistry, PerfRecorder, render_table
-from .timeline import TIMELINE, TIMELINE_FORMAT
+from .export import TIMELINE_FORMAT, TRACE_FORMAT
+from .metrics import PERF, MetricsRegistry, render_table
+from .spans import SPANS
 
 __all__ = [
     "PERF",
     "MetricsRegistry",
-    "PerfRecorder",
     "render_table",
-    "TIMELINE",
+    "SPANS",
     "TIMELINE_FORMAT",
+    "TRACE_FORMAT",
 ]

@@ -168,14 +168,13 @@ class MetricsRegistry:
         current high-water mark (a max over a superset of events is
         still an upper bound).
         """
-        now = self.snapshot()
         out = {
-            "counters": _sub(now["counters"], before.get("counters", {})),
-            "timers": _sub(now["timers"], before.get("timers", {})),
-            "gauges": dict(now["gauges"]),
+            "counters": _sub(self.counters, before.get("counters", {})),
+            "timers": _sub(self.timers, before.get("timers", {})),
+            "gauges": dict(self.gauges),
         }
         hist_delta = _sub_histograms(
-            now.get("histograms", {}), before.get("histograms", {})
+            self.histograms, before.get("histograms", {})
         )
         if hist_delta:
             out["histograms"] = hist_delta
@@ -212,11 +211,6 @@ class MetricsRegistry:
             hist["count"] += other["count"]
 
 
-#: Backwards-compatible name — everything that used to say
-#: ``PerfRecorder`` keeps working against the extended registry.
-PerfRecorder = MetricsRegistry
-
-
 def _sub(now: dict, before: dict) -> dict:
     out = {}
     for name, value in now.items():
@@ -232,7 +226,12 @@ def _sub_histograms(now: dict, before: dict) -> dict:
         prior = before.get(name)
         if prior is None:
             if hist["count"]:
-                out[name] = hist
+                out[name] = {
+                    "bounds": list(hist["bounds"]),
+                    "counts": list(hist["counts"]),
+                    "sum": hist["sum"],
+                    "count": hist["count"],
+                }
             continue
         count = hist["count"] - prior["count"]
         if not count:

@@ -1,6 +1,6 @@
 """``sqlciv stats timeline.json`` — gantt + bottleneck report.
 
-Consumes a :data:`~repro.obs.timeline.TIMELINE_FORMAT` document and
+Consumes a :data:`~repro.obs.export.TIMELINE_FORMAT` document and
 answers the question the raw profile table cannot: *where did the wall
 time go, per worker lane, and which phase dominates the serial part of
 the run*.  Three accounting notions, kept deliberately distinct:
@@ -33,7 +33,7 @@ import json
 import sys
 from collections import defaultdict
 
-from repro.obs.timeline import load_timeline
+from repro.obs.export import load_timeline
 
 UNATTRIBUTED = "(unattributed)"
 

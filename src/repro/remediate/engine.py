@@ -32,7 +32,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from repro.obs.metrics import PERF
-from repro.obs.timeline import TIMELINE
 
 from .guard import compile_guard
 from .synthesize import (
@@ -282,199 +281,198 @@ def remediate_project(
         pages = [str(page) for page in pages]
     report = RemediationReport(root=str(root), pages=pages)
 
-    with TIMELINE.phase("remediate"):
-        # --- pre-patch analysis: grammars + reports, page by page -----
-        work: list[tuple[str, object, object, object]] = []
-        for page in pages:
-            with PERF.timer("remediate.analyze"):
-                analysis = StringTaintAnalysis(
-                    root, parse_cache=parse_cache, policies=policies
-                )
-                result = analysis.analyze_file(root / page)
-                reports = [
-                    _check_spot(result.grammar, spot, policies)
-                    for spot in result.hotspots
-                ]
-            report.page_results.append(
-                SimpleNamespace(page=page, reports=reports)
+    # --- pre-patch analysis: grammars + reports, page by page -----
+    work: list[tuple[str, object, object, object]] = []
+    for page in pages:
+        with PERF.timer("remediate.analyze"):
+            analysis = StringTaintAnalysis(
+                root, parse_cache=parse_cache, policies=policies
             )
-            for spot, spot_report in zip(result.hotspots, reports):
-                for finding in spot_report.findings:
-                    if not finding.safe:
-                        work.append((page, result, spot, finding))
+            result = analysis.analyze_file(root / page)
+            reports = [
+                _check_spot(result.grammar, spot, policies)
+                for spot in result.hotspots
+            ]
+        report.page_results.append(
+            SimpleNamespace(page=page, reports=reports)
+        )
+        for spot, spot_report in zip(result.hotspots, reports):
+            for finding in spot_report.findings:
+                if not finding.safe:
+                    work.append((page, result, spot, finding))
 
-        if not work:
-            return report
+    if not work:
+        return report
 
-        # --- shared file/AST caches over the pristine tree ------------
-        texts: dict[str, str] = {}
-        trees: dict[str, object] = {}
+    # --- shared file/AST caches over the pristine tree ------------
+    texts: dict[str, str] = {}
+    trees: dict[str, object] = {}
 
-        def read_source(file: str) -> str:
-            if file not in texts:
-                texts[file] = Path(file).read_text()
-            return texts[file]
+    def read_source(file: str) -> str:
+        if file not in texts:
+            texts[file] = Path(file).read_text()
+        return texts[file]
 
-        def parse_source(file: str):
-            for page_result in (result for _, result, _, _ in work):
-                tree = page_result.trees.get(str(Path(file).resolve()))
-                if tree is not None:
-                    return tree
-            if file not in trees:
-                from repro.php.parser import PhpParseError, parse
+    def parse_source(file: str):
+        for page_result in (result for _, result, _, _ in work):
+            tree = page_result.trees.get(str(Path(file).resolve()))
+            if tree is not None:
+                return tree
+        if file not in trees:
+            from repro.php.parser import PhpParseError, parse
 
-                try:
-                    trees[file] = parse(read_source(file), file)
-                except (PhpParseError, OSError):
-                    trees[file] = None
-            return trees[file]
+            try:
+                trees[file] = parse(read_source(file), file)
+            except (PhpParseError, OSError):
+                trees[file] = None
+        return trees[file]
 
-        workspace = Workspace(root)
-        try:
-            baseline = analyze_tree(workspace.root, pages, policies=policies)
-            applied: dict[str, list] = {}
-            rejected: dict[tuple, str] = {}
-            kept_diffs: list[str] = []
-            guard_dir_path = Path(guard_dir) if guard_dir else None
-            if guard_dir_path:
-                guard_dir_path.mkdir(parents=True, exist_ok=True)
-            diff_dir_path = Path(diff_dir) if diff_dir else None
-            if diff_dir_path:
-                diff_dir_path.mkdir(parents=True, exist_ok=True)
+    workspace = Workspace(root)
+    try:
+        baseline = analyze_tree(workspace.root, pages, policies=policies)
+        applied: dict[str, list] = {}
+        rejected: dict[tuple, str] = {}
+        kept_diffs: list[str] = []
+        guard_dir_path = Path(guard_dir) if guard_dir else None
+        if guard_dir_path:
+            guard_dir_path.mkdir(parents=True, exist_ok=True)
+        diff_dir_path = Path(diff_dir) if diff_dir else None
+        if diff_dir_path:
+            diff_dir_path.mkdir(parents=True, exist_ok=True)
 
-            for page, result, spot, finding in work:
-                entry = FindingFix(
-                    page=page,
-                    file=_rel(finding.file, root),
-                    line=finding.line,
-                    sink=finding.sink,
-                    check=finding.check,
-                    policy=finding.policy or "sql",
-                    category=finding.category,
-                )
-                report.entries.append(entry)
-                key = finding_key(finding, root)
-                if baseline[key] == 0:
-                    # an earlier kept patch already removed this key
-                    entry.status = STATUS_ALREADY_FIXED
-                    continue
+        for page, result, spot, finding in work:
+            entry = FindingFix(
+                page=page,
+                file=_rel(finding.file, root),
+                line=finding.line,
+                sink=finding.sink,
+                check=finding.check,
+                policy=finding.policy or "sql",
+                category=finding.category,
+            )
+            report.entries.append(entry)
+            key = finding_key(finding, root)
+            if baseline[key] == 0:
+                # an earlier kept patch already removed this key
+                entry.status = STATUS_ALREADY_FIXED
+                continue
 
-                candidates: list[Patch] = []
-                with PERF.timer("remediate.synthesize"):
-                    if entry.policy == "sql":
-                        tree = parse_source(finding.file)
-                        if tree is None:
-                            entry.reasons["prepared"] = (
-                                "sink-file-unparseable"
-                            )
+            candidates: list[Patch] = []
+            with PERF.timer("remediate.synthesize"):
+                if entry.policy == "sql":
+                    tree = parse_source(finding.file)
+                    if tree is None:
+                        entry.reasons["prepared"] = (
+                            "sink-file-unparseable"
+                        )
+                    else:
+                        patch, reason = synthesize_prepared(
+                            read_source(finding.file), tree, finding,
+                            policies,
+                        )
+                        if patch is not None:
+                            candidates.append(patch)
                         else:
-                            patch, reason = synthesize_prepared(
-                                read_source(finding.file), tree, finding,
-                                policies,
-                            )
-                            if patch is not None:
-                                candidates.append(patch)
-                            else:
-                                entry.reasons["prepared"] = reason
-                    else:
-                        entry.reasons["prepared"] = REASON_NOT_SQL
-                    patch, reason = synthesize_sanitizer(
-                        finding, read_source, parse_source
+                            entry.reasons["prepared"] = reason
+                else:
+                    entry.reasons["prepared"] = REASON_NOT_SQL
+                patch, reason = synthesize_sanitizer(
+                    finding, read_source, parse_source
+                )
+                if patch is not None:
+                    candidates.append(patch)
+                else:
+                    entry.reasons["sanitize"] = reason
+            PERF.incr("remediate.candidates", len(candidates))
+
+            for patch in candidates:
+                if patch.key() in rejected:
+                    entry.reasons[patch.kind] = rejected[patch.key()]
+                    continue
+                shifted = _shift_patch(patch, applied)
+                if shifted is None:
+                    entry.reasons[patch.kind] = REASON_OVERLAP
+                    continue
+                with PERF.timer("remediate.verify"):
+                    verification, baseline_after = verify_patch(
+                        workspace,
+                        shifted,
+                        [key],
+                        pages,
+                        baseline,
+                        policies=policies,
+                        oracle_findings=(
+                            [(page, finding)] if oracle else None
+                        ),
                     )
-                    if patch is not None:
-                        candidates.append(patch)
-                    else:
-                        entry.reasons["sanitize"] = reason
-                PERF.incr("remediate.candidates", len(candidates))
-
-                for patch in candidates:
-                    if patch.key() in rejected:
-                        entry.reasons[patch.kind] = rejected[patch.key()]
-                        continue
-                    shifted = _shift_patch(patch, applied)
-                    if shifted is None:
-                        entry.reasons[patch.kind] = REASON_OVERLAP
-                        continue
-                    with PERF.timer("remediate.verify"):
-                        verification, baseline_after = verify_patch(
-                            workspace,
-                            shifted,
-                            [key],
-                            pages,
-                            baseline,
-                            policies=policies,
-                            oracle_findings=(
-                                [(page, finding)] if oracle else None
-                            ),
-                        )
-                    if not verification.verified:
-                        rejected[patch.key()] = verification.reason
-                        entry.reasons[patch.kind] = verification.reason
-                        continue
-                    baseline = baseline_after
-                    for start, end, text in patch.replacements:
-                        applied.setdefault(patch.file, []).append(
-                            (start, end, len(text))
-                        )
-                    entry.status = (
-                        STATUS_FIXED_PREPARED
-                        if patch.kind == "prepared"
-                        else STATUS_FIXED_SANITIZER
+                if not verification.verified:
+                    rejected[patch.key()] = verification.reason
+                    entry.reasons[patch.kind] = verification.reason
+                    continue
+                baseline = baseline_after
+                for start, end, text in patch.replacements:
+                    applied.setdefault(patch.file, []).append(
+                        (start, end, len(text))
                     )
-                    entry.diff = patch.unified_diff(
-                        read_source(patch.file), _rel(patch.file, root)
+                entry.status = (
+                    STATUS_FIXED_PREPARED
+                    if patch.kind == "prepared"
+                    else STATUS_FIXED_SANITIZER
+                )
+                entry.diff = patch.unified_diff(
+                    read_source(patch.file), _rel(patch.file, root)
+                )
+                entry.verification = verification.as_dict()
+                entry.patch = patch
+                entry.oracle = verification.oracle
+                report.patches.append(patch)
+                kept_diffs.append(entry.diff)
+                PERF.incr("remediate.verified")
+                break
+
+            if not entry.fixed:
+                with PERF.timer("remediate.guard"):
+                    profile = compile_guard(
+                        result.grammar,
+                        spot.query.nt,
+                        finding,
+                        site={
+                            "file": entry.file,
+                            "line": entry.line,
+                            "sink": entry.sink,
+                            "page": page,
+                        },
                     )
-                    entry.verification = verification.as_dict()
-                    entry.patch = patch
-                    entry.oracle = verification.oracle
-                    report.patches.append(patch)
-                    kept_diffs.append(entry.diff)
-                    PERF.incr("remediate.verified")
-                    break
+                entry.guard_self_test = profile["self_test"]
+                PERF.incr("remediate.guards")
+                if guard_dir_path:
+                    stem = Path(entry.file).stem
+                    name = (
+                        f"guard-{len(report.entries):03d}-{stem}"
+                        f"-L{entry.line}-{entry.check}.json"
+                    )
+                    path = guard_dir_path / name
+                    path.write_text(
+                        json.dumps(profile, indent=2, sort_keys=True)
+                        + "\n"
+                    )
+                    entry.guard_path = str(path)
 
-                if not entry.fixed:
-                    with PERF.timer("remediate.guard"):
-                        profile = compile_guard(
-                            result.grammar,
-                            spot.query.nt,
-                            finding,
-                            site={
-                                "file": entry.file,
-                                "line": entry.line,
-                                "sink": entry.sink,
-                                "page": page,
-                            },
-                        )
-                    entry.guard_self_test = profile["self_test"]
-                    PERF.incr("remediate.guards")
-                    if guard_dir_path:
-                        stem = Path(entry.file).stem
-                        name = (
-                            f"guard-{len(report.entries):03d}-{stem}"
-                            f"-L{entry.line}-{entry.check}.json"
-                        )
-                        path = guard_dir_path / name
-                        path.write_text(
-                            json.dumps(profile, indent=2, sort_keys=True)
-                            + "\n"
-                        )
-                        entry.guard_path = str(path)
+        report.diffs = kept_diffs
+        if diff_dir_path:
+            for index, (patch, diff) in enumerate(
+                zip(report.patches, kept_diffs), start=1
+            ):
+                stem = Path(patch.file).stem
+                name = f"fix-{index:03d}-{patch.kind}-{stem}.diff"
+                (diff_dir_path / name).write_text(diff)
 
-            report.diffs = kept_diffs
-            if diff_dir_path:
-                for index, (patch, diff) in enumerate(
-                    zip(report.patches, kept_diffs), start=1
-                ):
-                    stem = Path(patch.file).stem
-                    name = f"fix-{index:03d}-{patch.kind}-{stem}.diff"
-                    (diff_dir_path / name).write_text(diff)
-
-            if apply and applied:
-                for file in applied:
-                    Path(file).write_text(workspace.read(file))
-                report.applied = True
-        finally:
-            workspace.close()
+        if apply and applied:
+            for file in applied:
+                Path(file).write_text(workspace.read(file))
+            report.applied = True
+    finally:
+        workspace.close()
 
     return report
 

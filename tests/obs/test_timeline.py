@@ -1,7 +1,10 @@
-"""The timeline recorder, assembly, and the stats report.
+"""The span recorder, timeline assembly, and the stats report.
 
 The contracts under test:
 
+* the recorder keeps one flat record list per page (parents by index),
+  isolated from the enclosing stack, and feeds each span's ``metric``
+  timer whether recording is on or off;
 * span **ids** are pure functions of (page, phase, occurrence) — stable
   across reruns and independent of which process/lane recorded them;
 * **lanes** are assigned by first appearance in page order (driver is
@@ -16,97 +19,132 @@ import json
 
 import pytest
 
+from repro.obs.export import (
+    TIMELINE_FORMAT,
+    assemble,
+    timeline_span_id,
+    write_timeline,
+)
+from repro.obs.metrics import PERF
+from repro.obs.spans import SpanRecorder, add_late_span
 from repro.obs.stats import (
     UNATTRIBUTED,
     render_report,
     stats_main,
     summarize,
 )
-from repro.obs.timeline import (
-    TIMELINE_FORMAT,
-    TimelineRecorder,
-    append_span,
-    assemble,
-    span_id,
-    write_timeline,
-)
+
+
+def _recorder():
+    recorder = SpanRecorder()
+    recorder.configure(True)
+    return recorder
 
 
 class TestRecorder:
     def test_disabled_recorder_is_a_no_op(self):
-        recorder = TimelineRecorder()
+        recorder = SpanRecorder()
         with recorder.page("index.php") as capture:
-            with recorder.phase("absdom"):
+            with recorder.span("phase1"):
                 pass
-        assert capture.payload() is None
+        assert capture.payload is None
 
     def test_spans_nest_by_parent_index(self):
-        recorder = TimelineRecorder()
-        recorder.configure(True)
+        recorder = _recorder()
         with recorder.page("index.php") as capture:
-            with recorder.phase("absdom"):
-                with recorder.phase("parse"):
+            with recorder.span("phase1"):
+                with recorder.span("parse"):
                     pass
-                with recorder.phase("include"):
-                    with recorder.phase("parse"):
+                with recorder.span("include.interpret"):
+                    with recorder.span("parse"):
                         pass
-        payload = capture.payload()
-        spans = payload["spans"]
-        assert [s["phase"] for s in spans] == [
-            "absdom", "parse", "include", "parse",
+        spans = capture.payload["spans"]
+        assert [s["name"] for s in spans] == [
+            "page", "phase1", "parse", "include.interpret", "parse",
         ]
-        assert [s["parent"] for s in spans] == [None, 0, 0, 2]
+        assert [s["parent"] for s in spans] == [None, 0, 1, 1, 3]
         assert all(s["end"] >= s["start"] for s in spans)
 
     def test_page_capture_isolates_the_enclosing_state(self):
-        recorder = TimelineRecorder()
-        recorder.configure(True)
-        with recorder.phase("scan"):
+        recorder = _recorder()
+        with recorder.span("scan"):
             pass
         with recorder.page("a.php") as capture:
-            with recorder.phase("absdom"):
+            with recorder.span("phase1"):
                 pass
-        assert [s["phase"] for s in capture.payload()["spans"]] == ["absdom"]
+        assert [s["name"] for s in capture.payload["spans"]] == [
+            "page", "phase1",
+        ]
         # the driver span recorded outside the page is still drainable
-        assert [s["phase"] for s in recorder.drain_driver_spans()] == ["scan"]
+        assert [s["name"] for s in recorder.drain_driver_spans()] == ["scan"]
         assert recorder.drain_driver_spans() == []
 
     def test_annotate_sets_meta_on_the_open_span(self):
-        recorder = TimelineRecorder()
-        recorder.configure(True)
+        recorder = _recorder()
         with recorder.page("a.php") as capture:
-            with recorder.phase("verdict-memo"):
-                recorder.annotate("outcome", "hit")
-        assert capture.payload()["spans"][0]["meta"] == {"outcome": "hit"}
+            with recorder.span("hotspot"):
+                recorder.annotate("verdict_cache", "hit")
+        timeline = assemble([capture.payload])
+        (span,) = timeline["pages"][0]["spans"]
+        assert span["meta"] == {"verdict_cache": "hit"}
 
     def test_append_span_stretches_the_page_bounds(self):
-        recorder = TimelineRecorder()
-        recorder.configure(True)
+        """The ``pickle`` span runs after its page closed: appending it
+        stretches the page span over it."""
+        recorder = _recorder()
         with recorder.page("a.php") as capture:
             pass
-        payload = capture.payload()
-        end = payload["t_end"] + 1.0
-        append_span(payload, "pickle", payload["t_end"], end, bytes=123)
-        assert payload["t_end"] == end
-        assert payload["spans"][-1]["meta"] == {"bytes": 123}
+        payload = capture.payload
+        end = payload["spans"][0]["end"] + 1.0
+        add_late_span(payload, "pickle", end - 1.0, end, bytes=123)
+        assert payload["spans"][0]["end"] == end
+        (pickle_span,) = assemble([payload])["pages"][0]["spans"]
+        assert pickle_span["phase"] == "pickle"
+        assert pickle_span["parent"] is None
+        assert pickle_span["meta"] == {"bytes": 123}
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_metric_timer_is_fed_recorded_or_not(self, enabled):
+        recorder = SpanRecorder()
+        recorder.configure(enabled)
+        PERF.reset()
+        with recorder.span("prefilter", metric="prefilter"):
+            pass
+        assert PERF.timers["prefilter"] >= 0.0
+        assert len(recorder.drain_driver_spans()) == int(enabled)
+
+    def test_span_perf_carries_its_own_metric_and_raised_gauges(self):
+        recorder = _recorder()
+        PERF.reset()
+        PERF.gauge("peak", 5)
+        with recorder.page("a.php") as capture:
+            with recorder.span("image.construct", metric="image.construct"):
+                PERF.gauge("peak", 3)  # below the mark: not raised
+            with recorder.span("prefilter"):
+                PERF.gauge("peak", 9)
+        _, construct, prefilter = capture.payload["spans"]
+        assert set(construct["perf"]) == {"timers"}
+        assert "image.construct" in construct["perf"]["timers"]
+        assert prefilter["perf"] == {"gauges": {"peak": 9}}
+        PERF.reset()
 
 
 def _payload(page, pid, t0, spans, dur=None):
-    """A synthetic page payload; spans are (phase, parent, start, end).
+    """A synthetic page payload; spans are (phase, parent, start, end),
+    ``parent`` indexing into ``spans``.
 
     ``dur`` overrides the page duration (default: the last span end),
     leaving a trailing unattributed gap.
     """
     if dur is None:
         dur = max((end for *_x, end in spans), default=0.0)
+    root = {"name": "page", "parent": None, "start": t0, "end": t0 + dur,
+            "attrs": {"page": page}}
     return {
-        "page": page,
-        "t_start": t0,
-        "t_end": t0 + dur,
         "pid": pid,
-        "spans": [
-            {"phase": phase, "parent": parent,
-             "start": t0 + start, "end": t0 + end}
+        "spans": [root] + [
+            {"name": phase, "parent": 0 if parent is None else parent + 1,
+             "start": t0 + start, "end": t0 + end, "attrs": {}}
             for phase, parent, start, end in spans
         ],
     }
@@ -143,14 +181,15 @@ class TestAssemble:
         assert ids_of(first) == ids_of(second)
         # occurrence ordinals keep same-phase siblings distinct
         assert len(set(ids_of(first))) == 3
-        assert ids_of(first)[1] == span_id("a.php", "parse", 0)
-        assert ids_of(first)[2] == span_id("a.php", "parse", 1)
+        assert ids_of(first)[1] == timeline_span_id("a.php", "parse", 0)
+        assert ids_of(first)[2] == timeline_span_id("a.php", "parse", 1)
 
     def test_offsets_are_relative_to_the_earliest_event(self):
         timeline = assemble(
             [_payload("a.php", 222, 100.0, [("absdom", None, 0.0, 2.0)])],
             driver_spans=[
-                {"phase": "scan", "parent": None, "start": 99.0, "end": 99.5}
+                {"name": "scan", "parent": None, "start": 99.0, "end": 99.5,
+                 "attrs": {}}
             ],
         )
         assert timeline["driver_spans"][0]["start"] == 0.0

@@ -1,11 +1,11 @@
-"""Tests for the perf recorder's snapshot algebra and rendering."""
+"""Tests for the metrics registry's snapshot algebra and rendering."""
 
-from repro.obs.metrics import PerfRecorder, render_table
+from repro.obs.metrics import MetricsRegistry, render_table
 
 
 class TestDiff:
     def test_only_changed_counters_in_delta(self):
-        recorder = PerfRecorder()
+        recorder = MetricsRegistry()
         recorder.incr("stable", 5)
         before = recorder.snapshot()
         recorder.incr("changed", 2)
@@ -13,7 +13,7 @@ class TestDiff:
         assert delta["counters"] == {"changed": 2}
 
     def test_timers_subtract_and_zero_deltas_drop(self):
-        recorder = PerfRecorder()
+        recorder = MetricsRegistry()
         recorder.add_time("phase1", 1.5)
         before = recorder.snapshot()
         recorder.add_time("phase1", 0.5)
@@ -21,7 +21,7 @@ class TestDiff:
         assert delta["timers"] == {"phase1": 0.5}
 
     def test_gauges_keep_high_water_mark(self):
-        recorder = PerfRecorder()
+        recorder = MetricsRegistry()
         recorder.gauge("peak", 10)
         before = recorder.snapshot()
         recorder.gauge("peak", 3)  # below the mark: no change recorded
@@ -29,7 +29,7 @@ class TestDiff:
         assert delta["gauges"] == {"peak": 10}
 
     def test_diff_of_unchanged_recorder_is_empty(self):
-        recorder = PerfRecorder()
+        recorder = MetricsRegistry()
         recorder.incr("n")
         recorder.add_time("t", 1.0)
         before = recorder.snapshot()
@@ -39,7 +39,7 @@ class TestDiff:
 
 class TestMerge:
     def test_merge_folds_worker_delta(self):
-        driver = PerfRecorder()
+        driver = MetricsRegistry()
         driver.incr("pages.analyzed", 1)
         driver.gauge("peak", 5)
         driver.merge(
@@ -55,7 +55,7 @@ class TestMerge:
         assert snap["gauges"]["peak"] == 9
 
     def test_merge_missing_sections_is_noop(self):
-        driver = PerfRecorder()
+        driver = MetricsRegistry()
         driver.merge({})
         assert driver.snapshot() == {"counters": {}, "timers": {}, "gauges": {}}
 
@@ -66,7 +66,7 @@ class TestRenderTable:
         assert "(no events recorded)" in table
 
     def test_sections_render_sorted(self):
-        recorder = PerfRecorder()
+        recorder = MetricsRegistry()
         recorder.incr("b.count", 2)
         recorder.incr("a.count", 1)
         recorder.add_time("phase", 0.125)

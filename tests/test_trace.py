@@ -9,15 +9,14 @@ from pathlib import Path
 import pytest
 
 from repro.corpus import build_app
-from repro.obs.metrics import PERF
-from repro.obs.trace import (
-    TRACE,
+from repro.obs.export import (
     TRACE_FORMAT,
-    TraceRecorder,
     render_run,
-    span_id,
+    trace_span_id,
     tree_shape,
 )
+from repro.obs.metrics import PERF
+from repro.obs.spans import SPANS, SpanRecorder
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,57 +46,72 @@ def trace_of(app_root, tmp_path, tag, *extra):
     return out.read_text()
 
 
+def trace_records(text):
+    return [json.loads(line) for line in text.splitlines()][1:]
+
+
 class TestRecorder:
+    """The recorder as the ``--trace`` export sees it: the flat records
+    of a page rebuild into a tree through their parent indices."""
+
     def setup_method(self):
-        TRACE.configure(False)
+        SPANS.configure(False)
 
     def test_disabled_recorder_is_noop(self):
-        recorder = TraceRecorder()
-        with recorder.span("parse", file="x") as span:
-            span.set("cache", "hit")  # must not raise
-        recorder.annotate("k", "v")
-        assert recorder._stack == []
+        recorder = SpanRecorder()
+        with recorder.page("p.php") as page:
+            with recorder.span("parse", file="x") as span:
+                span.set("cache", "hit")  # must not raise
+            recorder.annotate("k", "v")
+        assert page.payload is None
+        assert recorder._records == [] and recorder._stack == []
 
     def test_span_nesting_and_attrs(self):
-        recorder = TraceRecorder()
+        recorder = SpanRecorder()
         recorder.configure(True)
-        with recorder.capture("page", page="p.php") as page:
+        with recorder.page("p.php") as page:
             with recorder.span("phase1") as phase:
                 with recorder.span("image", op="addslashes"):
                     recorder.annotate("cache", "miss")
                 phase.set("hotspots", 1)
-        tree = page.to_dict()
-        assert tree["name"] == "page"
-        (phase1,) = tree["children"]
+        run, page_span, phase1, image = trace_records(
+            render_run([page.payload])
+        )
+        assert page_span["attrs"] == {"page": "p.php"}
+        assert (page_span["parent"], phase1["parent"], image["parent"]) == (
+            run["id"], page_span["id"], phase1["id"],
+        )
         assert phase1["attrs"]["hotspots"] == 1
-        (image,) = phase1["children"]
         assert image["attrs"] == {"op": "addslashes", "cache": "miss"}
 
     def test_capture_isolates_enclosing_stack(self):
-        recorder = TraceRecorder()
+        recorder = SpanRecorder()
         recorder.configure(True)
-        with recorder.span("outer") as outer:
-            with recorder.capture("page") as page:
+        with recorder.span("outer"):
+            with recorder.page("p.php") as page:
                 with recorder.span("inner"):
                     pass
-        assert [c.name for c in page.children] == ["inner"]
-        assert outer.children == []  # the page root did not attach
+        assert [r["name"] for r in page.payload["spans"]] == ["page", "inner"]
+        # the page root did not attach under the enclosing span
+        (outer,) = recorder.drain_driver_spans()
+        assert outer["name"] == "outer"
 
     def test_perf_delta_attached_at_exit(self):
-        recorder = TraceRecorder()
+        recorder = SpanRecorder()
         recorder.configure(True)
         PERF.reset()
-        with recorder.capture("page") as page:
+        with recorder.page("p.php") as page:
             PERF.incr("parse.files", 3)
-        assert page.perf["counters"]["parse.files"] == 3
+        (root,) = page.payload["spans"]
+        assert root["perf"]["counters"]["parse.files"] == 3
 
 
 class TestSpanIds:
     def test_deterministic_and_position_dependent(self):
-        assert span_id("", 0, "run") == span_id("", 0, "run")
-        assert span_id("", 0, "run") != span_id("", 1, "run")
-        assert span_id("a", 0, "parse") != span_id("b", 0, "parse")
-        assert len(span_id("", 0, "run")) == 16
+        assert trace_span_id("", 0, "run") == trace_span_id("", 0, "run")
+        assert trace_span_id("", 0, "run") != trace_span_id("", 1, "run")
+        assert trace_span_id("a", 0, "parse") != trace_span_id("b", 0, "parse")
+        assert len(trace_span_id("", 0, "run")) == 16
 
     def test_render_run_meta_line_first(self):
         text = render_run([], attrs={"root": "/x"})
@@ -110,8 +124,8 @@ class TestSpanIds:
 class TestRunEquivalence:
     def test_serial_and_parallel_trees_same_shape(self, app_root, tmp_path):
         """The headline guarantee: a --jobs 4 run emits the same span
-        tree (ids, parents, names — everything but wall-clock) as the
-        serial run."""
+        tree (ids, parents, names — everything but wall-clock and the
+        memo-outcome subtrees) as the serial run."""
         serial = trace_of(app_root, tmp_path, "serial", "--jobs", "1")
         parallel = trace_of(app_root, tmp_path, "parallel", "--jobs", "4")
         shape = tree_shape(serial)
@@ -144,10 +158,16 @@ class TestRunEquivalence:
                  "--cache-dir", str(cache))
         warm = trace_of(app_root, tmp_path, "warm", "--jobs", "1",
                         "--cache-dir", str(cache))
-        spans = [json.loads(line) for line in warm.splitlines()][1:]
+        spans = trace_records(warm)
         pages = [s for s in spans if s["name"] == "page"]
         assert pages and all(s["attrs"].get("from_cache") for s in pages)
-        assert {s["name"] for s in spans} == {"run", "page"}
+        # each page's only child is the disk-cache load that served it,
+        # and that load did no analysis work underneath
+        page_ids = {s["id"] for s in pages}
+        children = [s for s in spans if s["parent"] in page_ids]
+        assert [s["name"] for s in children] == ["cache.page_load"] * len(pages)
+        loads = {s["id"] for s in children}
+        assert not any(s["parent"] in loads for s in spans)
 
     def test_hotspot_spans_record_verdict_cache(self, app_root, tmp_path):
         text = trace_of(app_root, tmp_path, "verdict", "--jobs", "1")
